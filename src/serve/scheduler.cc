@@ -135,19 +135,6 @@ std::size_t SolveScheduler::in_flight() const {
   return in_flight_;
 }
 
-std::uint64_t SolveScheduler::SnapshotHashFor(
-    const api::InstancePtr& instance) {
-  {
-    std::lock_guard<std::mutex> lock(hash_mu_);
-    auto it = hash_memo_.find(instance.get());
-    if (it != hash_memo_.end()) return it->second;
-  }
-  const std::uint64_t hash = ContentHash(*instance);  // O(data), outside locks
-  std::lock_guard<std::mutex> lock(hash_mu_);
-  hash_memo_[instance.get()] = hash;
-  return hash;
-}
-
 void SolveScheduler::RunOneJob() {
   PendingJob pending;
   double queue_seconds = 0.0;
@@ -296,6 +283,9 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
           .Observe(finished.queue_seconds + finished.run_seconds);
     }
     pending.promise.set_value(std::move(finished));
+    // Before the in-flight decrement, so Drain() returning means every
+    // hook has run.
+    if (pending.job.on_complete) pending.job.on_complete();
     std::lock_guard<std::mutex> lock(mu_);
     if (--in_flight_ == 0) drained_cv_.notify_all();
   };
@@ -357,8 +347,7 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
                          options_.result_cache_entries > 0;
   ResultKey key;
   if (cacheable) {
-    key = MakeResultKey(SnapshotHashFor(request.instance), info->name,
-                        request);
+    key = MakeResultKey(request.instance->content_hash(), info->name, request);
     // A cache hit bypasses breakers and faults entirely — serving memoized
     // results is the cheapest form of graceful degradation.
     if (std::optional<api::SolveResult> cached = result_cache_->Lookup(key)) {

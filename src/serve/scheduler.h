@@ -20,8 +20,9 @@
 //     waits for every accepted job to finish; submitted futures always
 //     complete.
 //
-// Caching: the scheduler content-hashes each job's snapshot (memoized per
-// snapshot pointer) and consults its ResultCache before dispatch.
+// Caching: the scheduler keys each job on its snapshot's content hash
+// (stamped at snapshot construction) and consults its ResultCache before
+// dispatch.
 // Deadline-free jobs are deterministic — every registered algorithm is,
 // given its options (LP rounding is seeded) — so they are served from cache
 // when the (snapshot, solver, k, ŝ, canonical options) key matches;
@@ -67,6 +68,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <list>
 #include <map>
@@ -95,6 +97,13 @@ struct SolveJob {
   /// Larger = more urgent. Interactive frontends use higher priorities;
   /// aging guarantees lower-priority batch jobs still run.
   int priority = 0;
+  /// Runs once on the worker that completes the job, right after its
+  /// future becomes ready — for every admitted job (cache hit, miss,
+  /// failure, interruption, degradation, watchdog re-dispatch). Never runs
+  /// when Enqueue refuses the job. Event-driven frontends use it to wake
+  /// their loop instead of polling futures; it must be cheap and must not
+  /// throw.
+  std::function<void()> on_complete;
 };
 
 /// What a job's future resolves to.
@@ -216,10 +225,6 @@ class SolveScheduler {
   /// stale queue entries (see ResilienceOptions::watchdog).
   void WatchdogLoop();
 
-  /// Content hash of the job's snapshot, memoized by snapshot address so a
-  /// shared instance is scanned once, not once per job.
-  std::uint64_t SnapshotHashFor(const api::InstancePtr& instance);
-
   /// Telemetry tick sampler: refreshes serve.queue.depth and the
   /// per-priority wait gauges from the live queue.
   void SampleQueueGauges();
@@ -243,9 +248,6 @@ class SolveScheduler {
   /// Weighted-fair accounting: jobs dispatched per tenant. Only written
   /// when the tenant policy is enabled; guarded by mu_.
   std::map<std::string, double> tenant_served_;
-
-  std::mutex hash_mu_;
-  std::map<const api::InstanceSnapshot*, std::uint64_t> hash_memo_;
 
   // Watchdog thread state (only started when options.resilience.watchdog).
   std::condition_variable watchdog_cv_;  // waits on mu_

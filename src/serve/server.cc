@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/obs/metrics.h"
 #include "src/serve/json.h"
 #include "src/serve/wire.h"
 
@@ -95,6 +97,23 @@ struct SolveServer::Connection {
   bool closing = false;  // peer done sending; close once out + pending drain
 };
 
+/// Owns the completion eventfd and closes it with the last reference: the
+/// server drops its own at Stop(), a solve still in flight keeps the
+/// descriptor open until its hook has run.
+struct SolveServer::CompletionSignal {
+  explicit CompletionSignal(int eventfd) : fd(eventfd) {}
+  ~CompletionSignal() { ::close(fd); }
+  CompletionSignal(const CompletionSignal&) = delete;
+  CompletionSignal& operator=(const CompletionSignal&) = delete;
+
+  void Notify() const {
+    const std::uint64_t one = 1;
+    (void)!::write(fd, &one, sizeof(one));
+  }
+
+  const int fd;
+};
+
 namespace {
 
 std::string Errno(const char* what) {
@@ -168,10 +187,10 @@ Status SolveServer::Start() {
                                    "'");
   }
   const auto fail = [this](std::string message) {
-    if (wake_fd_ >= 0) ::close(wake_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
     ::close(listen_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+    listen_fd_ = epoll_fd_ = -1;
+    completions_.reset();
     return Status::Unavailable(std::move(message));
   };
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
@@ -189,23 +208,19 @@ Status SolveServer::Start() {
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return fail(Errno("epoll_create1"));
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) return fail(Errno("eventfd"));
+  const int completion_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (completion_fd < 0) return fail(Errno("eventfd"));
+  completions_ = std::make_shared<CompletionSignal>(completion_fd);
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-    return fail(Errno("epoll_ctl(listen)"));
-  }
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    return fail(Errno("epoll_ctl(wake)"));
+  for (const int fd : {listen_fd_, completion_fd}) {
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      return fail(Errno("epoll_ctl"));
+    }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stopped_ = false;
-  }
+  stopped_ = false;
   started_ = true;
   thread_ = std::thread([this] { Loop(); });
   SCWSC_LOG_INFO("serve: listening on %s:%d", options_.host.c_str(),
@@ -219,15 +234,14 @@ void SolveServer::Stop() {
     if (!started_ || stopped_) return;
     stopped_ = true;
   }
-  const std::uint64_t one = 1;
-  (void)!::write(wake_fd_, &one, sizeof(one));
+  completions_->Notify();
   if (thread_.joinable()) thread_.join();
   for (auto& [fd, conn] : connections_) ::close(fd);
   connections_.clear();
   ::close(listen_fd_);
   ::close(epoll_fd_);
-  ::close(wake_fd_);
-  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  listen_fd_ = epoll_fd_ = -1;
+  completions_.reset();  // hooks still in flight keep the eventfd open
   bound_port_ = 0;
   started_ = false;
 }
@@ -235,30 +249,27 @@ void SolveServer::Stop() {
 void SolveServer::Loop() {
   epoll_event events[64];
   std::vector<int> dead;
+  obs::MetricCounter& wakeups =
+      scheduler_->metrics().counter("serve.server.loop_wakeups");
+  const int completion_fd = completions_->fd;
   for (;;) {
-    bool have_pending = false;
-    for (const auto& [fd, conn] : connections_) {
-      if (!conn->pending.empty()) {
-        have_pending = true;
-        break;
-      }
-    }
-    // With solves in flight the loop doubles as their poller; otherwise it
-    // sleeps until a socket or the stop eventfd wakes it.
-    const int timeout_ms = have_pending ? 10 : -1;
-    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+    // Sleeps until a socket, a solve completion or Stop() wakes it.
+    const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       SCWSC_LOG_ERROR("serve: %s", Errno("epoll_wait").c_str());
       return;
     }
-    bool stop = false;
+    wakeups.Increment();
+    bool completed = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
+      if (fd == completion_fd) {
+        // Drained before the pump below, so a completion landing after
+        // this read re-arms the eventfd and wakes the next epoll_wait.
         std::uint64_t drained = 0;
-        (void)!::read(wake_fd_, &drained, sizeof(drained));
-        stop = true;
+        (void)!::read(fd, &drained, sizeof(drained));
+        completed = true;
         continue;
       }
       if (fd == listen_fd_) {
@@ -270,6 +281,12 @@ void SolveServer::Loop() {
             ::close(client);
             continue;
           }
+          // Without TCP_NODELAY a response written while the previous one
+          // is unacknowledged waits for the client's delayed ACK (up to
+          // 40 ms on Linux).
+          const int nodelay = 1;
+          (void)::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                             sizeof(nodelay));
           auto conn = std::make_unique<Connection>();
           conn->fd = client;
           epoll_event add{};
@@ -327,8 +344,8 @@ void SolveServer::Loop() {
       }
       FlushOutput(conn);
     }
-    if (stop) return;
-    PumpPending();
+    if (stopped_) return;
+    if (completed) PumpPending();
     dead.clear();
     for (const auto& [fd, conn] : connections_) {
       if (conn->broken ||
@@ -442,6 +459,7 @@ void SolveServer::HandleLine(Connection& conn, const std::string& line) {
     envelope["forward"] = JsonValue(std::move(job->forward));
   }
   const std::string solver = job->job.solver;
+  job->job.on_complete = [signal = completions_] { signal->Notify(); };
   Result<std::future<JobOutcome>> future =
       scheduler_->Enqueue(std::move(job->job));
   if (!future.ok()) {
@@ -455,8 +473,7 @@ void SolveServer::HandleLine(Connection& conn, const std::string& line) {
   conn.pending.push_back(std::move(pending));
 }
 
-bool SolveServer::PumpPending() {
-  bool progress = false;
+void SolveServer::PumpPending() {
   for (const auto& [fd, conn] : connections_) {
     bool changed = false;
     for (auto it = conn->pending.begin(); it != conn->pending.end();) {
@@ -470,12 +487,8 @@ bool SolveServer::PumpPending() {
       it = conn->pending.erase(it);
       changed = true;
     }
-    if (changed) {
-      FlushOutput(*conn);
-      progress = true;
-    }
+    if (changed) FlushOutput(*conn);
   }
-  return progress;
 }
 
 void SolveServer::FlushOutput(Connection& conn) {

@@ -23,14 +23,20 @@
 // are recognized as shared (serve.snapshot_cache.shard_shared).
 //
 // Concurrency model: one epoll thread owns every connection; solves run on
-// the scheduler's pool and come back as futures the loop polls between
-// epoll waits. Sockets are non-blocking; response bytes that do not fit the
-// kernel buffer wait for EPOLLOUT (backpressure, never a blocked loop).
-// Stop() wakes the loop through an eventfd and joins.
+// the scheduler's pool and come back as futures. Each solve's completion
+// hook (SolveJob::on_complete) writes an eventfd registered with epoll, so
+// the loop blocks until a socket is ready or a solve finishes, and collects
+// finished futures only then — nothing polls. Accepted sockets run with
+// TCP_NODELAY, so a response never waits on the client's delayed ACK.
+// Sockets are non-blocking; response bytes that do not fit the kernel
+// buffer wait for EPOLLOUT (backpressure, never a blocked loop). Stop()
+// sets a flag, wakes the loop through the same eventfd and joins. Every epoll wake-up
+// counts serve.server.loop_wakeups in the scheduler's MetricRegistry.
 
 #ifndef SCWSC_SERVE_SERVER_H_
 #define SCWSC_SERVE_SERVER_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -125,15 +131,16 @@ class SolveServer {
 
  private:
   struct Connection;
+  struct CompletionSignal;
 
   void Loop();
   /// Parses and dispatches one request line; appends any immediate
   /// response to the connection's output buffer (solves append later,
   /// when their future resolves).
   void HandleLine(Connection& conn, const std::string& line);
-  /// Moves resolved solve futures into response bytes. Returns true when
-  /// any connection made progress (the loop then retries flushing).
-  bool PumpPending();
+  /// Moves resolved solve futures into response bytes and flushes them.
+  /// The loop calls it when a completion hook has written completions_.
+  void PumpPending();
   void FlushOutput(Connection& conn);
   void CloseConnection(int fd);
 
@@ -143,11 +150,16 @@ class SolveServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd Stop() writes to unblock epoll_wait
+  /// The eventfd solve completions write. Shared with every enqueued
+  /// solve's hook, so a hook that fires after Stop() never writes to a
+  /// closed or reused descriptor.
+  std::shared_ptr<CompletionSignal> completions_;
   int bound_port_ = 0;
   bool started_ = false;
   std::mutex stop_mu_;
-  bool stopped_ = false;
+  /// Set by Stop() before it writes completions_; the loop reads it on
+  /// every wake-up.
+  std::atomic<bool> stopped_{false};
   std::thread thread_;
 
   std::map<int, std::unique_ptr<Connection>> connections_;

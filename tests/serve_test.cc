@@ -1,16 +1,18 @@
 // The serve layer: JSON round-trips, content-hash stability, cache LRU
 // behavior, and the SolveScheduler's contract — deterministic result-cache
 // hits, deadline trips surfacing partial payloads, typed backpressure,
-// priority aging (no starvation), graceful drain — plus the batch front end
-// end to end.
+// priority aging (no starvation), graceful drain, the completion hook —
+// plus the batch front end end to end.
 
 #include "src/serve/scheduler.h"
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -24,6 +26,7 @@
 #include "src/common/run_context.h"
 #include "src/common/thread_pool.h"
 #include "src/core/instances.h"
+#include "src/core/set_system.h"
 #include "src/gen/toy.h"
 #include "src/serve/batch.h"
 #include "src/serve/cache.h"
@@ -632,6 +635,121 @@ TEST(SolveSchedulerTest, UnknownSolverFailsTheJobNotTheScheduler) {
   JobOutcome outcome = future->get();
   EXPECT_TRUE(outcome.result.status().IsNotFound());
   EXPECT_GE(scheduler.metrics().CounterValue("serve.jobs.failed"), 1u);
+}
+
+// Each admitted job's completion hook runs exactly once, after its future
+// is ready. The hook blocks until the test hands it the future, so a job
+// that finishes before Enqueue returns is observed all the same; the hook
+// runs before the in-flight count drops, so in_flight() == 0 means it ran.
+JobOutcome RunWithCompletionHook(SolveScheduler& scheduler, SolveJob job) {
+  struct Probe {
+    std::mutex mu;
+    std::condition_variable cv;
+    const std::future<JobOutcome>* future = nullptr;
+    int calls = 0;
+    bool ready_when_called = false;
+  };
+  auto probe = std::make_shared<Probe>();
+  job.on_complete = [probe] {
+    std::unique_lock<std::mutex> lock(probe->mu);
+    probe->cv.wait(lock, [&] { return probe->future != nullptr; });
+    probe->ready_when_called = probe->future->wait_for(std::chrono::seconds(
+                                   0)) == std::future_status::ready;
+    ++probe->calls;
+    probe->cv.notify_all();
+  };
+  auto future = scheduler.Enqueue(std::move(job));
+  EXPECT_TRUE(future.ok()) << future.status().ToString();
+  if (!future.ok()) return JobOutcome{};
+  {
+    std::unique_lock<std::mutex> lock(probe->mu);
+    probe->future = &*future;
+    probe->cv.notify_all();
+    probe->cv.wait(lock, [&] { return probe->calls > 0; });
+  }
+  JobOutcome outcome = future->get();
+  while (scheduler.in_flight() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::lock_guard<std::mutex> lock(probe->mu);
+  EXPECT_EQ(probe->calls, 1);
+  EXPECT_TRUE(probe->ready_when_called);
+  return outcome;
+}
+
+TEST(SolveSchedulerTest, CompletionHookRunsOncePerAdmittedJob) {
+  ResetGate();
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool);
+  InstancePtr instance = ToyInstance();
+
+  JobOutcome miss = RunWithCompletionHook(scheduler, MakeJob(instance, "cwsc"));
+  ASSERT_TRUE(miss.result.ok()) << miss.result.status().ToString();
+  EXPECT_FALSE(miss.from_result_cache);
+
+  JobOutcome hit = RunWithCompletionHook(scheduler, MakeJob(instance, "cwsc"));
+  ASSERT_TRUE(hit.result.ok());
+  EXPECT_TRUE(hit.from_result_cache);
+
+  SolveJob gated = MakeJob(instance, "test-gated");
+  gated.request.deadline = std::chrono::milliseconds(20);  // gate stays shut
+  JobOutcome interrupted = RunWithCompletionHook(scheduler, std::move(gated));
+  EXPECT_TRUE(interrupted.result.status().IsInterruption())
+      << interrupted.result.status().ToString();
+
+  {
+    ScopedFaultPlan chaos(/*seed=*/3);
+    chaos.plan().Arm(FaultPoint::kSolverError, 1.0);
+    JobOutcome failed =
+        RunWithCompletionHook(scheduler, MakeJob(instance, "cwsc", 2));
+    EXPECT_TRUE(failed.result.status().IsInternal())
+        << failed.result.status().ToString();
+  }
+
+  // A refused job never runs its hook: neither a malformed one nor one
+  // arriving after Drain().
+  std::atomic<int> refused_calls{0};
+  SolveJob malformed;
+  malformed.solver = "cwsc";
+  malformed.on_complete = [&] { ++refused_calls; };
+  EXPECT_FALSE(scheduler.Enqueue(std::move(malformed)).ok());
+  scheduler.Drain();
+  SolveJob late = MakeJob(instance, "cwsc");
+  late.on_complete = [&] { ++refused_calls; };
+  EXPECT_TRUE(scheduler.Enqueue(std::move(late)).status().IsCancelled());
+  EXPECT_EQ(refused_calls.load(), 0);
+}
+
+// Result-cache keys come from the snapshot's own content hash, never from
+// its address: short-lived snapshots that reuse a freed snapshot's memory
+// must not be served the freed snapshot's answer.
+TEST(SolveSchedulerTest, ReusedSnapshotAddressesNeverShareCachedAnswers) {
+  ThreadPool pool(1);  // inline: each snapshot is freed before the next
+  SolveScheduler scheduler(&pool);
+  const api::SolverRegistry& registry = api::SolverRegistry::Global();
+  for (int i = 0; i < 200; ++i) {
+    SetSystem system(8);
+    const double scale = 1.0 + 0.01 * i;
+    ASSERT_TRUE(system.AddSet({0, 1, 2, 3}, 1.0 * scale, "left").ok());
+    ASSERT_TRUE(system.AddSet({4, 5, 6, 7}, 2.0 * scale, "right").ok());
+    ASSERT_TRUE(system.AddSet({0, 1, 2, 3, 4, 5, 6, 7}, 2.5 + 0.02 * i,
+                              "all")
+                    .ok());
+    auto instance = api::InstanceSnapshot::FromSetSystem(std::move(system));
+    ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+    SolveJob job = MakeJob(*instance, "greedy-wsc", 2, 1.0);
+    auto expected = registry.Solve("greedy-wsc", job.request);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto future = scheduler.Enqueue(std::move(job));
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    JobOutcome outcome = future->get();
+    ASSERT_TRUE(outcome.result.ok()) << outcome.result.status().ToString();
+    EXPECT_FALSE(outcome.from_result_cache) << "snapshot " << i;
+    EXPECT_EQ(outcome.result->labels, expected->labels) << "snapshot " << i;
+    EXPECT_EQ(outcome.result->total_cost, expected->total_cost)
+        << "snapshot " << i;
+  }
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.result_cache.hits"), 0u);
 }
 
 // ------------------------------------------------------------ resilience ----

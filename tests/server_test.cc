@@ -1,22 +1,29 @@
 // The socket front end: a real client over loopback speaking the v2 wire
 // protocol — ping, list_solvers, solve (with tenant and forward-echo),
-// delta advancing the live snapshot, typed errors for malformed requests —
-// plus the SnapshotStore's head semantics.
+// delta advancing the live snapshot, typed errors for malformed requests,
+// completion-driven wake-ups that survive Stop() and restarts — plus the
+// SnapshotStore's head semantics.
 
 #include "src/serve/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/api/delta.h"
 #include "src/api/instance.h"
+#include "src/common/fault.h"
 #include "src/common/thread_pool.h"
 #include "src/core/set_system.h"
 #include "src/serve/json.h"
@@ -127,6 +134,38 @@ double NumberAt(const JsonValue& root, const char* key) {
   const JsonValue* v = root.Find(key);
   EXPECT_NE(v, nullptr) << key;
   return v != nullptr && v->is_number() ? v->as_number() : -1.0;
+}
+
+constexpr char kSolveLine[] =
+    R"({"version": 2, "id": "slow", "type": "solve", "snapshot": "live",)"
+    R"( "solver": "greedy-wsc", "k": 4, "coverage": 0.5})";
+
+/// Stalls every solve at the scheduler's call site for 300 ms, long enough
+/// that a polling loop would wake about 30 times per solve.
+class SlowSolves {
+ public:
+  SlowSolves() {
+    chaos_.plan().Arm(FaultPoint::kSolverDelay, 1.0);
+    chaos_.plan().set_solver_delay_ms(300);
+  }
+
+ private:
+  ScopedFaultPlan chaos_{/*seed=*/1};
+};
+
+/// Waits (bounded) until the scheduler holds exactly `jobs` jobs.
+void WaitForInFlight(const SolveScheduler& scheduler, std::size_t jobs) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scheduler.in_flight() != jobs &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(scheduler.in_flight(), jobs);
+}
+
+std::uint64_t LoopWakeups(SolveScheduler& scheduler) {
+  return scheduler.metrics().CounterValue("serve.server.loop_wakeups");
 }
 
 TEST(SnapshotStoreTest, HeadsAdvanceAndOldVersionsStayUsable) {
@@ -302,17 +341,79 @@ TEST(ServerTest, PipelinedRequestsAllComplete) {
   EXPECT_EQ(ok, kRequests);
 }
 
-TEST(ServerTest, StopIsIdempotentAndRestartable) {
+TEST(ServerTest, SolveCompletionWakesTheLoopInsteadOfPolling) {
+  SlowSolves slow;
   ServerFixture fx;
+  Client client(fx.server.port());
+  ASSERT_TRUE(client.Call(R"({"version": 2, "type": "ping"})")
+                  .Find("ok")
+                  ->as_bool());
+  const std::uint64_t before = LoopWakeups(fx.scheduler);
+  JsonValue response = client.Call(kSolveLine);
+  ASSERT_NE(response.Find("ok"), nullptr);
+  EXPECT_TRUE(response.Find("ok")->as_bool()) << response.Dump();
+  // One wake-up for the request, one for the completion, and slack; a loop
+  // polling every 10 ms would count about 30 over the 300 ms stall.
+  const std::uint64_t wakeups = LoopWakeups(fx.scheduler) - before;
+  EXPECT_GE(wakeups, 1u);
+  EXPECT_LE(wakeups, 5u);
+}
+
+TEST(ServerTest, SolveInFlightOutlivesStopAndDestruction) {
+  SlowSolves slow;
+  ThreadPool pool(2);
+  SolveScheduler scheduler(&pool);
+  SnapshotStore store(&scheduler.snapshot_cache());
+  ASSERT_TRUE(store.Put("live", BlockInstance()).ok());
+  auto server = std::make_unique<SolveServer>(&scheduler, &store);
+  ASSERT_TRUE(server->Start().ok());
+  Client client(server->port());
+  client.Send(kSolveLine);
+  WaitForInFlight(scheduler, 1);
+  server->Stop();
+  server.reset();
+
+  // Take the descriptor numbers the server just released: the solve's
+  // completion must not write into any of them.
+  int pipes[8][2];
+  for (auto& p : pipes) ASSERT_EQ(::pipe2(p, O_NONBLOCK | O_CLOEXEC), 0);
+  scheduler.Drain();
+  EXPECT_EQ(scheduler.metrics().CounterValue("serve.jobs.completed"), 1u);
+  for (auto& p : pipes) {
+    char byte;
+    EXPECT_EQ(::read(p[0], &byte, 1), -1);
+    EXPECT_EQ(errno, EAGAIN);
+    ::close(p[0]);
+    ::close(p[1]);
+  }
+}
+
+TEST(ServerTest, StopIsIdempotentAndRestartable) {
+  SlowSolves slow;
+  ServerFixture fx;
+  Client before_restart(fx.server.port());
+  before_restart.Send(kSolveLine);
+  WaitForInFlight(fx.scheduler, 1);
   fx.server.Stop();
   fx.server.Stop();
   EXPECT_EQ(fx.server.port(), 0);
   ASSERT_TRUE(fx.server.Start().ok());
   EXPECT_GT(fx.server.port(), 0);
+
+  // The solve enqueued before the restart completes without waking the
+  // restarted loop: its completion goes to the old eventfd.
+  const std::uint64_t wakeups = LoopWakeups(fx.scheduler);
+  WaitForInFlight(fx.scheduler, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(LoopWakeups(fx.scheduler), wakeups);
+
   Client client(fx.server.port());
   EXPECT_TRUE(client.Call(R"({"version": 2, "type": "ping"})")
                   .Find("ok")
                   ->as_bool());
+  JsonValue solve = client.Call(kSolveLine);
+  ASSERT_NE(solve.Find("ok"), nullptr);
+  EXPECT_TRUE(solve.Find("ok")->as_bool()) << solve.Dump();
 }
 
 }  // namespace
