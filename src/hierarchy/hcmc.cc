@@ -1,15 +1,16 @@
 #include "src/hierarchy/hcmc.h"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/bitset.h"
+#include "src/hierarchy/hlattice.h"
+#include "src/hierarchy/node_index.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/pattern/pattern.h"
+#include "src/pattern/opt_cmc.h"
 
 namespace scwsc {
 namespace hierarchy {
@@ -32,17 +33,6 @@ struct HeapLess {
     return CanonicalLess(b.key, a.key);
   }
 };
-
-/// Ben(p) by a direct matching scan (hierarchical postings would need a
-/// per-node index; a scan is O(n·j) and only runs once per popped pattern).
-std::vector<RowId> BenOf(const Table& table, const TableHierarchy& hierarchy,
-                         const HPattern& p) {
-  std::vector<RowId> rows;
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    if (p.Matches(table, hierarchy, r)) rows.push_back(r);
-  }
-  return rows;
-}
 
 }  // namespace
 
@@ -86,62 +76,10 @@ Result<HSolution> RunHierarchicalCmc(const Table& table,
   for (RowId r = 0; r < n; ++r) all_rows[r] = r;
   const double root_cost = cost_fn.Compute(table, all_rows);
 
-  // Budget seed: same lower bound as the flat optimized CMC.
-  double min_measure = 0.0;
-  double min_positive_measure = 0.0;
-  bool first = true;
-  for (RowId r = 0; r < n; ++r) {
-    const double m = table.measure(r);
-    if (first || m < min_measure) min_measure = m;
-    if (m > 0.0 && (min_positive_measure == 0.0 || m < min_positive_measure)) {
-      min_positive_measure = m;
-    }
-    first = false;
-  }
-  double budget = static_cast<double>(options.k) * std::max(min_measure, 0.0);
-  if (budget <= 0.0) {
-    budget = min_positive_measure > 0.0 ? min_positive_measure : 1.0;
-  }
-
-  // Round-feasibility precheck (see hcmc.h): duplicate-group aggregates.
-  std::vector<double> coverable_thresholds;
-  {
-    bool bound_valid = cost_fn.kind() == pattern::CostKind::kMax;
-    if (!bound_valid) {
-      bound_valid = true;
-      for (RowId r = 0; r < n; ++r) {
-        if (table.measure(r) < 0.0) {
-          bound_valid = false;
-          break;
-        }
-      }
-    }
-    if (bound_valid) {
-      std::unordered_map<pattern::Pattern, std::vector<RowId>,
-                         pattern::PatternHash>
-          groups;
-      for (RowId r = 0; r < n; ++r) {
-        std::vector<ValueId> key(j);
-        for (std::size_t a = 0; a < j; ++a) key[a] = table.value(r, a);
-        groups[pattern::Pattern(std::move(key))].push_back(r);
-      }
-      coverable_thresholds.reserve(n);
-      for (const auto& [pat, rows] : groups) {
-        const double aggregate = cost_fn.Compute(table, rows);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-          coverable_thresholds.push_back(aggregate);
-        }
-      }
-      std::sort(coverable_thresholds.begin(), coverable_thresholds.end());
-    }
-  }
-  auto coverable_rows = [&](double b) -> std::size_t {
-    if (coverable_thresholds.empty()) return n;
-    return static_cast<std::size_t>(
-        std::upper_bound(coverable_thresholds.begin(),
-                         coverable_thresholds.end(), b) -
-        coverable_thresholds.begin());
-  };
+  double budget = pattern::LatticeCmcBudgetSeed(table, options.k);
+  const pattern::RoundFeasibility feasibility(table, cost_fn);
+  const NodeIndex index(table, hierarchy);
+  HChildGrouper group_children(table, hierarchy);
 
   DynamicBitset covered(n);
   bool final_round = budget >= root_cost;
@@ -177,7 +115,7 @@ Result<HSolution> RunHierarchicalCmc(const Table& table,
       return interrupted(trip, std::move(last_round));
     }
     st.budget_rounds = round;
-    if (coverable_rows(budget) < target) {
+    if (feasibility.CoverableRows(budget) < target) {
       if (final_round) {
         return Status::Infeasible(
             "hierarchical CMC: coverage unreachable even at the "
@@ -253,7 +191,7 @@ Result<HSolution> RunHierarchicalCmc(const Table& table,
       Candidate q = std::move(qit->second);
       candidates.erase(qit);
       if (!q.cost_known) {
-        q.cost = cost_fn.Compute(table, BenOf(table, hierarchy, q_key));
+        q.cost = cost_fn.Compute(table, index.Ben(q_key));
         q.cost_known = true;
       }
 
@@ -283,52 +221,35 @@ Result<HSolution> RunHierarchicalCmc(const Table& table,
 
       visited.insert(q_key);
       // Children of q with non-zero marginal benefit, grouped by the
-      // one-step specialization containing each row.
-      for (std::size_t a = 0; a < j; ++a) {
-        const AttributeHierarchy& h = hierarchy.attribute(a);
-        const NodeId pnode = q_key.node(a);
-        if (pnode != kAllNode && h.is_leaf(pnode)) continue;
-        const std::size_t child_depth =
-            pnode == kAllNode ? 0 : h.depth(pnode) + 1;
-        std::unordered_map<NodeId, std::vector<RowId>> by_node;
-        for (RowId r : q.mben) {
-          const NodeId leaf = table.value(r, a);
-          if (h.depth(leaf) < child_depth) continue;
-          by_node[h.AncestorAtDepth(leaf, child_depth)].push_back(r);
+      // one-step specialization containing each row. One lattice expansion
+      // per prospective child; a trip surfaces at the next heap-pop Check.
+      auto groups = group_children(q_key, q.mben);
+      ctx.ChargeNodes(groups.size());
+      for (auto& group : groups) {
+        HPattern child = q_key.WithNode(group.attr, group.node);
+        if (candidates.count(child) || visited.count(child) ||
+            selected.count(child)) {
+          continue;
         }
-        // Deterministic admission order by node id.
-        std::vector<NodeId> nodes;
-        nodes.reserve(by_node.size());
-        for (const auto& [node, rows] : by_node) nodes.push_back(node);
-        std::sort(nodes.begin(), nodes.end());
-        // One lattice expansion per prospective child; a trip surfaces at
-        // the next heap-pop Check.
-        ctx.ChargeNodes(nodes.size());
-        for (NodeId node : nodes) {
-          HPattern child = q_key.WithNode(a, node);
-          if (candidates.count(child) || visited.count(child) ||
-              selected.count(child)) {
-            continue;
+        bool parents_ok = true;
+        for (std::size_t pa = 0; pa < j && parents_ok; ++pa) {
+          // The parent at group.attr is q, visited just above.
+          if (pa == group.attr || child.is_wildcard(pa)) continue;
+          if (!visited.count(child.ParentAt(hierarchy, pa))) {
+            parents_ok = false;
           }
-          bool parents_ok = true;
-          for (std::size_t pa = 0; pa < j && parents_ok; ++pa) {
-            if (child.is_wildcard(pa)) continue;
-            if (!visited.count(child.ParentAt(hierarchy, pa))) {
-              parents_ok = false;
-            }
-          }
-          if (!parents_ok) continue;
-          Candidate cand;
-          cand.mben = std::move(by_node[node]);
-          cand.epoch = epoch;
-          ++st.patterns_considered;
-          ++st.candidates_admitted;
-          if (considered_metric != nullptr) considered_metric->Increment();
-          if (admitted_metric != nullptr) admitted_metric->Increment();
-          const std::size_t count = cand.mben.size();
-          candidates.emplace(child, std::move(cand));
-          heap.push(HeapEntry{count, std::move(child)});
         }
+        if (!parents_ok) continue;
+        Candidate cand;
+        cand.mben = std::move(group.marginal_rows);
+        cand.epoch = epoch;
+        ++st.patterns_considered;
+        ++st.candidates_admitted;
+        if (considered_metric != nullptr) considered_metric->Increment();
+        if (admitted_metric != nullptr) admitted_metric->Increment();
+        const std::size_t count = cand.mben.size();
+        candidates.emplace(child, std::move(cand));
+        heap.push(HeapEntry{count, std::move(child)});
       }
     }
 

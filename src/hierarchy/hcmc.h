@@ -2,10 +2,9 @@
 // hierarchy lattice, completing the §II extension for both of the paper's
 // algorithms. Shares the budget schedule and level structure with the
 // generic CMC (BuildCmcLevels) and the engineering of the flat optimized
-// CMC: lazy marginal refresh, pop-time cost computation, and the
-// round-feasibility precheck (a row is coverable within budget B only if
-// its duplicate-group aggregate is <= B — hierarchical patterns also cover
-// whole duplicate groups, so the bound carries over unchanged).
+// CMC: lazy marginal refresh, pop-time cost computation from node postings
+// (NodeIndex), scratch-array child grouping (HChildGrouper), and the
+// shared budget seed and round-feasibility precheck (pattern/opt_cmc.h).
 
 #ifndef SCWSC_HIERARCHY_HCMC_H_
 #define SCWSC_HIERARCHY_HCMC_H_

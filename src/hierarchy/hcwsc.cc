@@ -8,6 +8,8 @@
 #include "src/common/bitset.h"
 #include "src/common/thread_pool.h"
 #include "src/core/benefit_engine.h"
+#include "src/hierarchy/hlattice.h"
+#include "src/hierarchy/node_index.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -17,7 +19,6 @@ namespace {
 
 struct Candidate {
   HPattern pattern;
-  std::vector<RowId> ben;
   std::vector<RowId> mben;
   double cost = 0.0;
   bool processed = false;
@@ -44,49 +45,6 @@ bool BetterCandidate(const Candidate& cand, const Candidate& best) {
   if (ca != cb) return ca > cb;
   if (cand.cost != best.cost) return cand.cost < best.cost;
   return CanonicalLess(cand.pattern, best.pattern);
-}
-
-/// One prospective child of `q` at one attribute: the node one level below
-/// q's constraint on the ancestor path of some marginal row.
-struct HChildGroup {
-  std::size_t attr = 0;
-  NodeId node = kNoNode;
-  std::vector<RowId> marginal_rows;
-};
-
-/// Groups q's marginal rows by the one-step specialization that contains
-/// them, per attribute: below ALL that is the leaf's forest root; below an
-/// internal node its depth+1 ancestor; leaves have no children.
-std::vector<HChildGroup> GroupHChildren(const Table& table,
-                                        const TableHierarchy& hierarchy,
-                                        const HPattern& parent,
-                                        const std::vector<RowId>& rows) {
-  std::vector<HChildGroup> groups;
-  for (std::size_t a = 0; a < parent.num_attributes(); ++a) {
-    const AttributeHierarchy& h = hierarchy.attribute(a);
-    const NodeId pnode = parent.node(a);
-    if (pnode != kAllNode && h.is_leaf(pnode)) continue;  // no children
-    const std::size_t child_depth =
-        pnode == kAllNode ? 0 : h.depth(pnode) + 1;
-    std::unordered_map<NodeId, std::vector<RowId>> by_node;
-    for (RowId r : rows) {
-      const NodeId leaf = table.value(r, a);
-      if (h.depth(leaf) < child_depth) continue;  // leaf sits above
-      // When descending from an internal node, only rows in its subtree
-      // are in `rows` already (rows = MBen(parent)); the chain lookup
-      // yields the child on this leaf's path.
-      by_node[h.AncestorAtDepth(leaf, child_depth)].push_back(r);
-    }
-    const std::size_t first = groups.size();
-    for (auto& [node, grows] : by_node) {
-      groups.push_back(HChildGroup{a, node, std::move(grows)});
-    }
-    std::sort(groups.begin() + static_cast<std::ptrdiff_t>(first),
-              groups.end(), [](const HChildGroup& x, const HChildGroup& y) {
-                return x.node < y.node;
-              });
-  }
-  return groups;
 }
 
 }  // namespace
@@ -134,6 +92,8 @@ Result<HSolution> RunHierarchicalCwsc(const Table& table,
     solution.provenance.coverage_reached = solution.covered;
     return TripStatus(trip, "hierarchical cwsc").WithPayload(solution);
   };
+  const NodeIndex index(table, hierarchy);
+  HChildGrouper group_children(table, hierarchy);
   CandidateMap candidates;
   std::unordered_set<HPattern, HPatternHash> selected;
 
@@ -148,10 +108,9 @@ Result<HSolution> RunHierarchicalCwsc(const Table& table,
   {
     Candidate root;
     root.pattern = HPattern::AllWildcards(table.num_attributes());
-    root.ben.resize(n);
-    for (RowId r = 0; r < n; ++r) root.ben[r] = r;
-    root.mben = root.ben;
-    root.cost = cost_fn.Compute(table, root.ben);
+    root.mben.resize(n);
+    for (RowId r = 0; r < n; ++r) root.mben[r] = r;
+    root.cost = cost_fn.Compute(table, root.mben);
     ++st.patterns_considered;
     ++st.candidates_admitted;
     if (considered_metric != nullptr) considered_metric->Increment();
@@ -188,7 +147,7 @@ Result<HSolution> RunHierarchicalCwsc(const Table& table,
       Candidate& q = qit->second;
       q.processed = true;
 
-      auto groups = GroupHChildren(table, hierarchy, q.pattern, q.mben);
+      auto groups = group_children(q.pattern, q.mben);
       // Each prospective child is one lattice expansion against the
       // node-expansion budget; a trip surfaces at the next Check above.
       ctx.ChargeNodes(groups.size());
@@ -204,7 +163,8 @@ Result<HSolution> RunHierarchicalCwsc(const Table& table,
         bool parents_ok = true;
         for (std::size_t a = 0; a < child.num_attributes() && parents_ok;
              ++a) {
-          if (child.is_wildcard(a)) continue;
+          // The parent at groups[g].attr is q, a candidate by construction.
+          if (a == groups[g].attr || child.is_wildcard(a)) continue;
           if (!candidates.count(child.ParentAt(hierarchy, a))) {
             parents_ok = false;
           }
@@ -214,28 +174,20 @@ Result<HSolution> RunHierarchicalCwsc(const Table& table,
       }
 
       for (auto& pend : pending) {
-        const HChildGroup& group = groups[pend.group_index];
-        const AttributeHierarchy& h = hierarchy.attribute(group.attr);
-        Candidate cand;
-        cand.pattern = std::move(pend.child);
-        cand.ben.reserve(group.marginal_rows.size());
-        for (RowId r : q.ben) {
-          if (h.IsAncestorOrSelf(group.node, table.value(r, group.attr))) {
-            cand.ben.push_back(r);
-          }
-        }
-        cand.mben = group.marginal_rows;
-        cand.cost = cost_fn.Compute(table, cand.ben);
+        HChildGroup& group = groups[pend.group_index];
         ++st.patterns_considered;
         if (considered_metric != nullptr) considered_metric->Increment();
-        if (cand.mben.size() * i >= rem) {
-          ++st.candidates_admitted;
-          if (admitted_metric != nullptr) admitted_metric->Increment();
-          auto [it, inserted] =
-              candidates.emplace(cand.pattern, std::move(cand));
-          SCWSC_CHECK(inserted, "candidate admitted twice");
-          waitlist.push(WaitEntry{it->second.mben.size(), &it->first});
-        }
+        if (group.marginal_rows.size() * i < rem) continue;
+        // Admitted: cost it from Ben(child), read off the node postings.
+        Candidate cand;
+        cand.pattern = std::move(pend.child);
+        cand.mben = std::move(group.marginal_rows);
+        cand.cost = cost_fn.Compute(table, index.Ben(cand.pattern));
+        ++st.candidates_admitted;
+        if (admitted_metric != nullptr) admitted_metric->Increment();
+        auto [it, inserted] = candidates.emplace(cand.pattern, std::move(cand));
+        SCWSC_CHECK(inserted, "candidate admitted twice");
+        waitlist.push(WaitEntry{it->second.mben.size(), &it->first});
       }
     }
 

@@ -12,8 +12,10 @@
 // {value, ALL}.
 //
 // Ancestor tests are O(1) via Euler-tour intervals; the child-of-a-node
-// that contains a given leaf is O(1) via precomputed root-to-leaf chains,
-// which keeps the hierarchical lattice descent as cheap as the flat one.
+// that contains a given leaf is O(1) via precomputed root-to-leaf chains.
+// Those two lookups are what let the hierarchical descents cost patterns
+// from node postings (node_index.h) and group children on scratch arrays
+// (hlattice.h) with the same per-pop work as the flat descents.
 
 #ifndef SCWSC_HIERARCHY_HIERARCHY_H_
 #define SCWSC_HIERARCHY_HIERARCHY_H_

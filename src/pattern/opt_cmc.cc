@@ -108,73 +108,8 @@ Result<PatternSolution> RunOptimizedCmcImpl(const Table& table,
   for (RowId r = 0; r < n; ++r) all_rows[r] = r;
   const double root_cost = cost_fn.Compute(table, all_rows);
 
-  // Fig. 4 line 01 seeds B with the cost of the k cheapest patterns, which
-  // the lattice-only algorithm cannot know without enumerating. We seed
-  // with the lower bound k * (smallest row measure): every pattern covers
-  // some row, so under max/sum/lp costs its cost is at least the smallest
-  // measure. A lower start only adds cheap early rounds (skipped by the
-  // feasibility precheck below); the geometric schedule is unchanged.
-  double min_measure = 0.0;
-  double min_positive_measure = 0.0;
-  bool first = true;
-  for (RowId r = 0; r < n; ++r) {
-    const double m = table.measure(r);
-    if (first || m < min_measure) min_measure = m;
-    if (m > 0.0 && (min_positive_measure == 0.0 || m < min_positive_measure)) {
-      min_positive_measure = m;
-    }
-    first = false;
-  }
-  double budget = static_cast<double>(options.k) * std::max(min_measure, 0.0);
-  if (budget <= 0.0) {
-    budget = min_positive_measure > 0.0 ? min_positive_measure : 1.0;
-  }
-
-  // Round-feasibility precheck. Every pattern covering row r also covers
-  // all rows identical to r, so its cost is at least the aggregate of r's
-  // duplicate group (exactly for max; a lower bound for sum / lp-norms when
-  // measures are non-negative, since those aggregates are monotone under
-  // superset). A round with budget B can therefore cover at most
-  // |{r : group_aggregate(r) <= B}| rows; when that is below the target the
-  // round is provably infeasible and the (expensive) lattice descent is
-  // skipped. This mirrors Fig. 4's early rounds, which fail after fruitless
-  // work — the outcome is identical, the work is not.
-  std::vector<double> coverable_thresholds;
-  {
-    bool bound_valid = cost_fn.kind() == CostKind::kMax;
-    if (!bound_valid) {
-      bound_valid = true;
-      for (RowId r = 0; r < n; ++r) {
-        if (table.measure(r) < 0.0) {
-          bound_valid = false;
-          break;
-        }
-      }
-    }
-    if (bound_valid) {
-      std::unordered_map<Pattern, std::vector<RowId>, PatternHash> groups;
-      for (RowId r = 0; r < n; ++r) {
-        std::vector<ValueId> key(j);
-        for (std::size_t a = 0; a < j; ++a) key[a] = table.value(r, a);
-        groups[Pattern(std::move(key))].push_back(r);
-      }
-      coverable_thresholds.reserve(n);
-      for (const auto& [pat, rows] : groups) {
-        const double aggregate = cost_fn.Compute(table, rows);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-          coverable_thresholds.push_back(aggregate);
-        }
-      }
-      std::sort(coverable_thresholds.begin(), coverable_thresholds.end());
-    }
-  }
-  auto coverable_rows = [&](double b) -> std::size_t {
-    if (coverable_thresholds.empty()) return n;  // bound unavailable
-    return static_cast<std::size_t>(
-        std::upper_bound(coverable_thresholds.begin(),
-                         coverable_thresholds.end(), b) -
-        coverable_thresholds.begin());
-  };
+  double budget = LatticeCmcBudgetSeed(table, options.k);
+  const RoundFeasibility feasibility(table, cost_fn);
 
   // Shared posting lists: deferred candidate costs are computed from
   // Ben(p) on first pop instead of by filtering the parent's benefit list
@@ -216,8 +151,8 @@ Result<PatternSolution> RunOptimizedCmcImpl(const Table& table,
       return interrupted(trip, std::move(last_round));
     }
     st.budget_rounds = round;
-    if (coverable_rows(budget) < target) {
-      // Provably infeasible budget; skip the descent (see precheck above).
+    if (feasibility.CoverableRows(budget) < target) {
+      // Provably infeasible budget; skip the descent.
       if (final_round) {
         return Status::Infeasible(
             "optimized CMC: coverage unreachable even at the all-wildcards "
@@ -386,6 +321,50 @@ Result<PatternSolution> RunOptimizedCmcImpl(const Table& table,
 }
 
 }  // namespace
+
+double LatticeCmcBudgetSeed(const Table& table, std::size_t k) {
+  double min_measure = 0.0;
+  double min_positive_measure = 0.0;
+  for (RowId r = 0; r < table.num_rows(); ++r) {
+    const double m = table.measure(r);
+    if (r == 0 || m < min_measure) min_measure = m;
+    if (m > 0.0 && (min_positive_measure == 0.0 || m < min_positive_measure)) {
+      min_positive_measure = m;
+    }
+  }
+  const double budget = static_cast<double>(k) * std::max(min_measure, 0.0);
+  if (budget > 0.0) return budget;
+  return min_positive_measure > 0.0 ? min_positive_measure : 1.0;
+}
+
+RoundFeasibility::RoundFeasibility(const Table& table,
+                                   const CostFunction& cost_fn)
+    : num_rows_(table.num_rows()) {
+  if (cost_fn.kind() != CostKind::kMax) {
+    for (RowId r = 0; r < num_rows_; ++r) {
+      if (table.measure(r) < 0.0) return;  // bound unavailable
+    }
+  }
+  std::unordered_map<Pattern, std::vector<RowId>, PatternHash> groups;
+  for (RowId r = 0; r < num_rows_; ++r) {
+    std::vector<ValueId> key(table.num_attributes());
+    for (std::size_t a = 0; a < key.size(); ++a) key[a] = table.value(r, a);
+    groups[Pattern(std::move(key))].push_back(r);
+  }
+  thresholds_.reserve(num_rows_);
+  for (const auto& [pat, rows] : groups) {
+    thresholds_.insert(thresholds_.end(), rows.size(),
+                       cost_fn.Compute(table, rows));
+  }
+  std::sort(thresholds_.begin(), thresholds_.end());
+}
+
+std::size_t RoundFeasibility::CoverableRows(double budget) const {
+  if (thresholds_.empty()) return num_rows_;
+  return static_cast<std::size_t>(
+      std::upper_bound(thresholds_.begin(), thresholds_.end(), budget) -
+      thresholds_.begin());
+}
 
 Result<PatternSolution> RunOptimizedCmc(const Table& table,
                                         const CostFunction& cost_fn,

@@ -45,7 +45,9 @@
 #include "src/hierarchy/hcwsc.h"
 #include "src/hierarchy/henumerate.h"
 #include "src/hierarchy/hierarchy.h"
+#include "src/hierarchy/hlattice.h"
 #include "src/hierarchy/hpattern.h"
+#include "src/hierarchy/node_index.h"
 #include "src/gen/perturb.h"
 #include "src/gen/toy.h"
 #include "src/gen/tripartite.h"

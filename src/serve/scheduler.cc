@@ -90,10 +90,10 @@ Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
           "scheduler is draining; new jobs are not admitted");
     }
     if (options_.max_queue_depth > 0 &&
-        in_flight_ >= options_.max_queue_depth) {
+        admitted_ >= options_.max_queue_depth) {
       metrics_->counter("serve.jobs.rejected").Increment();
       obs::FlightRecorder::Global().RecordInstant(
-          "serve.reject/queue_full", static_cast<double>(in_flight_));
+          "serve.reject/queue_full", static_cast<double>(admitted_));
       // The hint approximates one aging interval — long enough for a worker
       // to pop at least one job, short enough that clients keep the queue
       // warm. Machine-readable so wire frontends emit retry_after_ms.
@@ -109,6 +109,7 @@ Result<std::future<JobOutcome>> SolveScheduler::Enqueue(SolveJob job) {
     pending.enqueued_at = std::chrono::steady_clock::now();
     future = pending.promise.get_future();
     queue_.push_back(std::move(pending));
+    ++admitted_;
     ++in_flight_;
     metrics_->counter("serve.jobs.accepted").Increment();
     metrics_->gauge("serve.queue.depth")
@@ -281,6 +282,12 @@ void SolveScheduler::ExecuteJob(PendingJob pending, double queue_seconds) {
           .Increment();
       metrics_->sketch("serve.tenant.latency_seconds#" + tenant)
           .Observe(finished.queue_seconds + finished.run_seconds);
+    }
+    {
+      // The admission slot frees before the future resolves, so a client
+      // that enqueues as soon as its future is ready finds room.
+      std::lock_guard<std::mutex> lock(mu_);
+      --admitted_;
     }
     pending.promise.set_value(std::move(finished));
     // Before the in-flight decrement, so Drain() returning means every

@@ -7,7 +7,8 @@
 // Admission control:
 //   - Bounded queue depth: Enqueue returns ResourceExhausted (typed
 //     backpressure, never blocking) when queue + running reaches
-//     max_queue_depth.
+//     max_queue_depth. A job's slot frees before its future resolves, so
+//     a client that re-enqueues on completion is never refused for it.
 //   - Deadlines: a job's request.deadline is moved onto the scheduler's
 //     per-job RunContext, so deadline trips surface exactly like direct
 //     registry calls — an interruption Status carrying the partial
@@ -125,8 +126,8 @@ struct JobOutcome {
 };
 
 struct SchedulerOptions {
-  /// Jobs admitted but not yet finished; Enqueue beyond this is
-  /// ResourceExhausted. 0 = unbounded.
+  /// Jobs queued or running; Enqueue beyond this is ResourceExhausted.
+  /// 0 = unbounded.
   std::size_t max_queue_depth = 256;
   /// Seconds of waiting that add one effective priority level.
   double aging_interval_seconds = 0.25;
@@ -181,7 +182,8 @@ class SolveScheduler {
   SnapshotCache& snapshot_cache() { return *snapshot_cache_; }
   ResultCache& result_cache() { return *result_cache_; }
 
-  /// Jobs admitted but not yet completed (queued + running).
+  /// Jobs admitted but not yet completed (queued + running, or finishing:
+  /// future resolved, completion hook not yet returned).
   std::size_t in_flight() const;
 
   /// The per-solver circuit breakers (visible for tests and frontends that
@@ -243,7 +245,12 @@ class SolveScheduler {
   std::condition_variable drained_cv_;  // fires when in_flight_ hits 0
   std::list<PendingJob> queue_;
   std::list<RunningJob> running_;  // registry calls currently in flight
-  std::size_t in_flight_ = 0;      // queued + running
+  // Admission slots held: queued + running, freed before the job's future
+  // resolves. max_queue_depth bounds this count.
+  std::size_t admitted_ = 0;
+  // Admitted jobs whose completion (future and on_complete hook) has not
+  // finished; Drain() waits for it to reach 0.
+  std::size_t in_flight_ = 0;
   bool draining_ = false;
   /// Weighted-fair accounting: jobs dispatched per tenant. Only written
   /// when the tenant policy is enabled; guarded by mu_.
